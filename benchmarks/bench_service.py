@@ -16,16 +16,21 @@ writes ``benchmarks/results/BENCH_service.json`` records carrying:
   warm caches change wall-clock and ``cache_stats`` only, by design
   (``docs/SERVICE.md``), and
 * sustained throughput (auctions/sec over an HTTP submission burst)
-  plus client-observed p50/p99 submit-to-done latency.
+  plus client-observed p50/p99 submit-to-done latency, and
+* a ``warm_pool`` record: best-of-rounds wall clock for a pool job on a
+  fresh daemon vs. on a daemon whose store K distinct light jobs have
+  filled, with the same bit-identity verdict.  Pool shards keep
+  per-task caches, so a full store must not slow the pool job down.
 
 Runnable as a script::
 
     python benchmarks/bench_service.py [--smoke]
 
-``--smoke`` shrinks the instance, rounds, and burst so CI can verify
-the bit-identity contract quickly; smoke speedups and throughput are
+``--smoke`` shrinks the instances, rounds, and burst so CI can verify
+the bit-identity contract quickly; smoke ratios and throughput are
 informational only (``check_regression.py --only service`` gates the
->= 1.5x warm-over-cold speedup on non-smoke records).
+>= 1.5x warm-over-cold speedup and the <= 1.5x warm-pool/cold-pool
+ratio on non-smoke records).
 """
 
 import asyncio
@@ -213,18 +218,102 @@ def measure_service(agents=10, tasks=3, seed=11, rounds=3, burst=8,
     return extra
 
 
+def _pool_job_after(pool_job, light_jobs):
+    """Run ``light_jobs`` then ``pool_job`` on a fresh daemon.
+
+    Returns the pool job's (duration, report).  The process-wide
+    fixed-base tables are cleared right before the pool job, so with or
+    without light jobs before it the resident pool forks its workers
+    from a process with empty tables and the pool job pays the full
+    precomputation a freshly started daemon would.
+    """
+    daemon = _Daemon()
+    try:
+        for index, job in enumerate(light_jobs):
+            _run_job(daemon, job, expect_warm=index > 0)
+        clear_fixed_base_tables()
+        duration, _, _, report = _run_job(daemon, pool_job,
+                                          expect_warm=False)
+    finally:
+        daemon.close()
+    return duration, report
+
+
+#: ``warm_pool`` sizes: the pool job (n=16, m=8 on 2 workers), the K
+#: distinct light jobs that fill the store before it, and the rounds.
+_WARM_POOL_SIZES = {
+    False: {"agents": 16, "tasks": 8, "workers": 2, "seed": 11,
+            "light_jobs": 10, "light_agents": 12, "light_tasks": 4,
+            "rounds": 3},
+    True: {"agents": 6, "tasks": 2, "workers": 2, "seed": 11,
+           "light_jobs": 3, "light_agents": 6, "light_tasks": 2,
+           "rounds": 1},
+}
+
+
+def measure_warm_pool(smoke=False):
+    """Pool job on a fresh daemon vs. after K distinct light jobs."""
+    sizes = _WARM_POOL_SIZES[smoke]
+    agents, tasks = sizes["agents"], sizes["tasks"]
+    light_jobs = sizes["light_jobs"]
+    pool_job = {"agents": agents, "tasks": tasks, "seed": sizes["seed"],
+                "mode": "pool", "workers": sizes["workers"]}
+    # Same group as the pool job, distinct seeds: every light job adds
+    # its own commitments' entries to the store.
+    fillers = [{"agents": sizes["light_agents"],
+                "tasks": sizes["light_tasks"], "seed": 1000 + k}
+               for k in range(light_jobs)]
+    cold_durations, warm_durations, reports = [], [], []
+    for _ in range(sizes["rounds"]):
+        duration, report = _pool_job_after(pool_job, [])
+        cold_durations.append(duration)
+        reports.append(report)
+        duration, report = _pool_job_after(pool_job, fillers)
+        warm_durations.append(duration)
+        reports.append(report)
+    for report in reports:
+        validate_run_report(report)
+    reference = _signature(reports[0])
+    equivalent = all(_signature(report) == reference
+                     for report in reports[1:])
+    cold = min(cold_durations)
+    warm = min(warm_durations)
+    ratio = warm / cold
+    extra = {
+        "equivalent": equivalent,
+        "cold_pool_wall_clock_s": round(cold, 6),
+        "warm_pool_wall_clock_s": round(warm, 6),
+        "warm_pool_ratio": round(ratio, 4),
+        "reports_validated": len(reports),
+        "smoke": smoke,
+    }
+    write_json_record(
+        "service",
+        dict(sizes, sweep="warm_pool"),
+        wall_clock_s=round(cold, 6),
+        counters=reports[0]["totals"]["operations"],
+        extra=extra,
+    )
+    print("service warm_pool[n=%d, m=%d, K=%d]: cold pool %.4fs, after "
+          "light jobs %.4fs (%.2fx), equivalent=%s"
+          % (agents, tasks, light_jobs, cold, warm, ratio, equivalent))
+    return extra
+
+
 def main(argv=None):
     import argparse
     parser = argparse.ArgumentParser(
         description="Measure the always-on auction service (warm-cache "
-                    "speedup, latency, throughput) and write "
+                    "speedup, latency, throughput, warm-store pool "
+                    "jobs) and write "
                     "BENCH_service.json for the regression gate.")
     parser.add_argument("--smoke", action="store_true",
-                        help="small instance, single round: verifies the "
-                             "bit-identity contract without gating "
-                             "speedup or throughput")
+                        help="small instances, single round: verifies "
+                             "the bit-identity contract without gating "
+                             "speedup, pool ratio or throughput")
     args = parser.parse_args(argv)
     measure_service(smoke=args.smoke)
+    measure_warm_pool(smoke=args.smoke)
     return 0
 
 

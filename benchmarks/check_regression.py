@@ -361,10 +361,15 @@ def check_backend(results_dir, failures, lines):
 #: gains, not just avoid breaking anything).
 _MIN_WARM_SPEEDUP = 1.5
 
+#: Maximum accepted wall-clock ratio of a pool job on a daemon with a
+#: full warm store over the same job on a fresh daemon.  Pool shards
+#: keep per-task caches, so the store must not slow them down.
+_MAX_WARM_POOL_RATIO = 1.5
+
 
 def check_service(results_dir, failures, lines):
     """Gate the always-on service records: bit identity always, warm
-    speedup on non-smoke records.
+    speedup and warm-pool ratio on non-smoke records.
 
     Equivalence (``extra.equivalent``) needs no baseline and no
     tolerance: every job in the measured mix — cold, warm, and the
@@ -373,7 +378,9 @@ def check_service(results_dir, failures, lines):
     against the versioned schema.  A warm cache may change wall-clock
     and ``cache_stats`` only; anything else breaks the
     counted-vs-measured contract.  The >= 1.5x warm-over-cold speedup
-    gate applies to non-smoke records; smoke ratios are informational.
+    gate (``warm_cache`` records) and the <= 1.5x warm-pool/cold-pool
+    ratio gate (``warm_pool`` records) apply to non-smoke records; smoke
+    ratios are informational.
     """
     fresh = _load(results_dir, "service")
     if fresh is None:
@@ -393,8 +400,20 @@ def check_service(results_dir, failures, lines):
                 "reference (bit-identical warm-cache contract broken)"
                 % label)
             continue
-        speedup = extra.get("warm_speedup", 0.0)
         smoke = extra.get("smoke", False)
+        if record["params"].get("sweep") == "warm_pool":
+            ratio = extra.get("warm_pool_ratio", float("inf"))
+            if not smoke and ratio > _MAX_WARM_POOL_RATIO:
+                failures.append(
+                    "service[%s]: pool job on a full warm store took "
+                    "%.2fx its fresh-daemon time, above the %.1fx gate"
+                    % (label, ratio, _MAX_WARM_POOL_RATIO))
+                continue
+            lines.append(
+                "service[%s]: equivalent, warm/cold pool %.2fx (%s)"
+                % (label, ratio, "smoke" if smoke else "gated"))
+            continue
+        speedup = extra.get("warm_speedup", 0.0)
         if not smoke:
             if speedup < _MIN_WARM_SPEEDUP:
                 failures.append(

@@ -794,9 +794,12 @@ class DMWProtocol:
             tests).
         warm_cache:
             An externally prepared :class:`PublicValueCache` to use as
-            the execution's shared cache instead of a fresh one.  The
-            always-on service passes a per-job cache pre-seeded with a
-            previous same-group job's public entries
+            the execution's shared cache instead of a fresh one.  It
+            seeds the in-process drivers only: under the pool driver it
+            serves just the parent-side phases, while pool shards run on
+            fresh per-task caches and ``cache_stats`` reports theirs, so
+            neither sees it.  The always-on service passes a per-job cache
+            pre-seeded with earlier same-group jobs' public entries
             (:meth:`PublicValueCache.seed_from`), so repeat-parameter
             jobs skip recomputation.  Entries are content-keyed public
             values and every call site charges the naive analytic
@@ -887,8 +890,7 @@ class DMWProtocol:
                 from ..parallel import run_pool_auctions
                 assert workers is not None
                 abort = run_pool_auctions(self, num_tasks, workers,
-                                          checkpoint_path,
-                                          pool=pool, warm_cache=warm_cache)
+                                          checkpoint_path, pool=pool)
                 if abort is not None:
                     return self._void(abort)
             elif parallel:

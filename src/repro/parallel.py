@@ -22,7 +22,8 @@ Determinism contract (``docs/PERFORMANCE.md``)
   across drivers by construction.
 * **Work units** are picklable: a worker receives only the task index;
   the shared :class:`PoolSpec` (parameters, true values, rng roots) is
-  installed once per worker process via the pool initializer.  Nothing
+  installed once per worker process via the pool initializer, or rides
+  along with each task index on a resident pool.  Nothing
   secret crosses the process boundary that the agents would not have
   derived themselves; shard *results* carry only public data (the
   transcript, accounting totals, trace/span exports).
@@ -58,9 +59,10 @@ The one documented accounting difference vs. the sequential driver is
 auctions (cross-task Lagrange-weight hits), while the pool driver's
 shards use per-task caches.  The merged statistics are the deterministic
 per-task sums — identical for every ``workers`` count ≥ 1 (pinned by
-``tests/test_process_pool.py``) — but not equal to the shared-cache
-numbers.  Counters are unaffected either way: the analytic schedule is
-charged on cache hits too (``docs/PERFORMANCE.md``).
+``tests/test_process_pool.py``) and whatever warm cache the caller
+holds — but not equal to the shared-cache numbers.  Counters are
+unaffected either way: the analytic schedule is charged on cache hits
+too (``docs/PERFORMANCE.md``).
 
 Checkpointing
 -------------
@@ -111,10 +113,13 @@ _POST_MERGE_HOOK: Optional[Callable[["ShardResult"], None]] = None
 class PoolSpec:
     """Everything a worker process needs to rebuild the execution context.
 
-    Installed once per worker via the pool initializer; deliberately tiny
-    and picklable (parameters are a few hundred bytes).  ``rng_roots``
-    are the parent agents' substream roots, so worker-side agents derive
-    exactly the parent's per-task randomness.
+    Installed once per worker via the pool initializer, or carried by
+    every unit of work on a resident pool; either way it holds only
+    per-job constants (parameters, true values, rng roots, flags), so
+    its pickled size grows with ``n * m`` alone, never with what a
+    daemon has cached (about 1 KB at n=16, m=8).
+    ``rng_roots`` are the parent agents' substream roots, so worker-side
+    agents derive exactly the parent's per-task randomness.
     """
 
     parameters: Any
@@ -136,13 +141,6 @@ class PoolSpec:
     #: back to pure python and still produces the identical outcome
     #: (backends never change counted or computed values).
     backend: str = "python"
-    #: Warm-cache snapshot (entries-only :meth:`PublicValueCache
-    #: .export_state`, no ``stats`` section) used to pre-seed each
-    #: shard's per-task cache.  Outcomes and counters are unaffected —
-    #: call sites charge the analytic schedule on hits — so the merged
-    #: results stay bit-identical to a cold run; only the merged
-    #: ``cache_stats`` shift, exactly as for the sequential warm path.
-    cache_state: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -194,7 +192,8 @@ def _run_shard_with_spec(work: Tuple[PoolSpec, int]) -> ShardResult:
     job's spec and the worker re-installs it — backend selection
     included — whenever it differs from the one already installed.
     ``PoolSpec`` is a frozen dataclass, so the equality check compares
-    by value across the pickle boundary.
+    by value across the pickle boundary.  The spec holds only per-job
+    constants, so shipping it with every unit costs about a kilobyte.
     """
     spec, task = work
     if _SPEC != spec:
@@ -238,11 +237,6 @@ def _run_shard(task: int) -> ShardResult:
     protocol = DMWProtocol(spec.parameters, agents, trace=trace,
                            observer=recorder, flight=flight)
     cache = PublicValueCache()
-    if spec.cache_state:
-        # Warm shard: import a previous same-group job's public entries
-        # (entries only — the snapshot carries no stats section, so this
-        # shard's hit/miss counters describe only its own lookups).
-        cache.import_state(spec.cache_state)
     for agent in agents:
         agent.adopt_cache(cache)
     protocol._shared_cache = cache
@@ -448,8 +442,7 @@ def _batches(items: List[int], size: int) -> List[List[int]]:
 
 def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
                       checkpoint_path: Optional[str],
-                      pool: Optional[ProcessPoolExecutor] = None,
-                      warm_cache: Optional[PublicValueCache] = None
+                      pool: Optional[ProcessPoolExecutor] = None
                       ) -> Optional[ProtocolAbort]:
     """Drive the remaining auctions through a process pool and merge.
 
@@ -465,19 +458,11 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
         re-installed worker-side by :func:`_run_shard_with_spec`.  When
         omitted, a per-call executor with the classic initializer path
         is created and torn down here.
-    warm_cache:
-        Cache whose entries pre-seed every shard's per-task cache (see
-        :attr:`PoolSpec.cache_state`).
     """
     _validate_poolable(protocol)
     done = {t.task for t in protocol._transcripts}
     done.update(protocol._task_aborts)
     remaining = [task for task in range(num_tasks) if task not in done]
-    cache_state: Optional[Dict[str, Any]] = None
-    if warm_cache is not None and warm_cache.entry_count():
-        cache_state = warm_cache.export_state()
-        # Entries only: each shard's stats must describe its own lookups.
-        cache_state.pop("stats", None)
     spec = PoolSpec(
         parameters=protocol.parameters,
         true_values=tuple(tuple(agent.true_values)
@@ -492,9 +477,7 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
                  and getattr(protocol.observer, "profiler", None)
                  is not None),
         backend=crypto_backend.ACTIVE.name,
-        cache_state=cache_state,
     )
-    batch_count = 0
     if not remaining:
         return None
     if pool is not None:

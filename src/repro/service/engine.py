@@ -6,9 +6,10 @@ One :class:`AuctionService` owns:
   submitted jobs run strictly in submission order, so the daemon's
   results are deterministic regardless of arrival interleaving;
 * the :class:`~repro.service.warmcache.WarmCacheStore` — repeat-group
-  jobs start from the accumulated public entries and skip
-  precomputation (outcomes and counters bit-identical; only
-  ``cache_stats`` and wall-clock shift, by design);
+  sequential and phase-barrier jobs start from the accumulated public
+  entries and skip precomputation (outcomes and counters bit-identical;
+  only ``cache_stats`` and wall-clock shift, by design); pool jobs
+  neither read nor feed it;
 * an optional resident ``ProcessPoolExecutor`` for ``mode="pool"`` jobs,
   reused across jobs (shards re-install their job's spec worker-side);
 * a persistent metrics registry (`dmw_service_*`, `dmw_warm_cache_*`,
@@ -224,18 +225,21 @@ class AuctionService:
             recorder = SpanRecorder()
             protocol = DMWProtocol(parameters, agents, trace=trace,
                                    observer=recorder)
-            record.warm = self.store.warm(parameters)
-            cache = self.store.cache_for(parameters)
+            # Pool shards run on fresh per-task caches: the store's
+            # entries are keyed by other jobs' random commitments, so
+            # shipping them to every shard costs far more than it saves.
+            pooled = request.mode == "pool"
+            record.warm = not pooled and self.store.warm(parameters)
+            cache = None if pooled else self.store.cache_for(parameters)
             outcome = protocol.execute(
                 problem.num_tasks,
                 parallel=(request.mode != "sequential"),
                 degraded=request.degraded,
-                workers=(request.workers if request.mode == "pool"
-                         else None),
+                workers=request.workers if pooled else None,
                 warm_cache=cache,
-                pool=(self._resident_pool() if request.mode == "pool"
-                      else None))
-            self.store.absorb(parameters, cache)
+                pool=self._resident_pool() if pooled else None)
+            if cache is not None:
+                self.store.absorb(parameters, cache)
             registry = registry_for_run(outcome, agents=agents, trace=trace,
                                         recorder=recorder)
             document = run_report(outcome, agents=agents, trace=trace,

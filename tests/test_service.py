@@ -16,11 +16,15 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
    ``DMW_BACKEND`` is only read at import (the daemon routes selection
    through ``using_backend()`` per job).
 5. **Warm-cache store semantics** — entries survive between jobs keyed
-   by group, eviction clears the group's fixed-base tables.
+   by group, eviction clears the group's fixed-base tables, and pool
+   jobs neither read nor feed the store: their shards run on fresh
+   per-task caches and their work units stay small however full the
+   store is.
 """
 
 import json
 import os
+import pickle
 import sys
 import threading
 import urllib.error
@@ -367,6 +371,59 @@ class TestWarmCacheStore:
             group_key(fixture_group("small"))
         assert group_key(fixture_group("tiny")) == \
             group_key(fixture_group("tiny"))
+
+
+class TestPoolJobsBypassWarmStore:
+    """A full warm store changes nothing about a pool job."""
+
+    POOL_JOB = {**JOB, "mode": "pool", "workers": 2}
+
+    def _fill_store(self, service, count=10):
+        records = [service.submit({**JOB, "seed": 100 + k})
+                   for k in range(count)]
+        assert service.wait_idle(300)
+        assert all(record.state == "done" for record in records)
+        assert service.store.stats()["entries"] > 0
+
+    def test_pool_job_on_full_store_matches_fresh_daemon(self, service):
+        self._fill_store(service)
+        before = service.store.stats()
+        warm = service.submit(self.POOL_JOB)
+        assert service.wait_idle(300)
+        assert warm.state == "done", warm.error
+        # Truthful bookkeeping: the store was neither read nor fed.
+        assert warm.warm is False
+        assert service.store.stats() == before
+        fresh_service = AuctionService(warm_capacity=4, pool_workers=2)
+        try:
+            fresh = fresh_service.submit(self.POOL_JOB)
+            assert fresh_service.wait_idle(300)
+        finally:
+            fresh_service.close()
+        assert fresh.state == "done", fresh.error
+        assert warm.outcome.schedule.assignment == \
+            fresh.outcome.schedule.assignment
+        assert warm.outcome.payments == fresh.outcome.payments
+        assert warm.outcome.agent_operations == \
+            fresh.outcome.agent_operations
+        assert warm.cache_stats == fresh.cache_stats
+
+    def test_resident_work_unit_stays_small(self, service, monkeypatch):
+        self._fill_store(service)
+        pool = service._resident_pool()
+        submit = pool.submit
+        sizes = []
+
+        def recording_submit(fn, work):
+            sizes.append(len(pickle.dumps(work)))
+            return submit(fn, work)
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
+        record = service.submit(self.POOL_JOB)
+        assert service.wait_idle(300)
+        assert record.state == "done", record.error
+        assert len(sizes) == JOB["tasks"]
+        assert max(sizes) < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
