@@ -6,8 +6,8 @@ ack-counted gather with a wall-clock bound.  A *blocking* call on that
 loop — ``time.sleep``, synchronous socket or file I/O, ``subprocess`` —
 stalls every agent at once: the simulated clock keeps its schedule but
 real delivery does not, the ack barrier times out spuriously, and the
-transport's carefully ported timeout/retry semantics (bit-identical to
-the in-process simulator) silently drift.  Inside coroutines, waiting
+transport's timeout/retry semantics (the in-process simulator's own
+delivery loop) silently drift.  Inside coroutines, waiting
 must be ``await``-shaped (``asyncio.sleep``, reader/writer calls).
 
 The rule flags a blocking call either directly inside an ``async def``

@@ -54,6 +54,9 @@ from .outcome import AuctionTranscript
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .protocol import DMWProtocol
 
+#: Barrier state every network carries, saved as ``timeout_state``.
+_TIMEOUT_FIELDS = ("clock", "late_messages", "retries", "recovered")
+
 
 def encode_rng_state(state: Any) -> List[Any]:
     """JSON-encode a ``random.Random.getstate()`` tuple.
@@ -101,9 +104,10 @@ class ProtocolCheckpoint:
     round_index:
         The network's next synchronous round number.
     timeout_state:
-        Extra :class:`~repro.network.asynchronous.TimeoutNetwork` wall
-        state (``clock``/``late_messages``/``retries``/``recovered``),
-        empty for plain synchronous networks.
+        The network's barrier state
+        (``clock``/``late_messages``/``retries``/``recovered``); all zero
+        for a network without a latency model.  Empty on documents
+        written before every network carried these fields.
     completed_tasks:
         The completed-auction frontier: every task already attempted
         (completed or quarantined).  ``None`` on documents written before
@@ -151,10 +155,8 @@ class ProtocolCheckpoint:
         (i.e. one past the last completed/quarantined task).
         """
         network = protocol.network
-        timeout_state: Dict[str, Any] = {}
-        for attr in ("clock", "late_messages", "retries", "recovered"):
-            if hasattr(network, attr):
-                timeout_state[attr] = getattr(network, attr)
+        timeout_state = {attr: getattr(network, attr)
+                         for attr in _TIMEOUT_FIELDS}
         completed = sorted({t.task for t in protocol._transcripts}
                            | set(protocol._task_aborts))
         cache_state: Dict[str, Any] = {}
@@ -222,9 +224,11 @@ class ProtocolCheckpoint:
         # Network accounting: totals continue from the boundary.
         protocol.network.metrics = _metrics_from_totals(self.network_metrics)
         protocol.network.round_index = self.round_index
-        for attr, value in self.timeout_state.items():
-            if hasattr(protocol.network, attr):
-                setattr(protocol.network, attr, value)
+        # Documents written before every network carried the barrier
+        # state have no such keys; the fresh network's zeros then stand.
+        for attr in _TIMEOUT_FIELDS:
+            if attr in self.timeout_state:
+                setattr(protocol.network, attr, self.timeout_state[attr])
         # Public-value cache: restore counters (and, for full sequential
         # snapshots, the memoised entries) so the resumed run's
         # ``cache_stats`` agree exactly with the uninterrupted run.

@@ -2,11 +2,14 @@
 
 DMW is specified with implicit synchronization barriers; a deployment
 realizes a barrier with a *timeout*: wait up to ``T`` for the round's
-messages, treat anything later as withheld.  :class:`TimeoutNetwork`
-extends the synchronous simulator with exactly that: every unicast's
+messages, treat anything later as withheld.  :class:`TimeoutNetwork` is
+the synchronous simulator with exactly that configured: every unicast's
 arrival time is sampled from a :class:`~repro.network.latency.LatencyModel`,
 messages arriving after the round timeout are dropped (and counted), and
-a wall clock advances by the per-round barrier time.
+a wall clock advances by the per-round barrier time.  The barrier itself
+is :meth:`SynchronousNetwork.deliver
+<repro.network.simulator.SynchronousNetwork.deliver>`, the one delivery
+loop shared by every network and the socket transport.
 
 On top of the bare timeout, a :class:`RetryPolicy` adds bounded
 retransmission with backoff: a unicast copy whose sampled delay exceeds
@@ -29,55 +32,13 @@ be tested under it (``tests/test_asynchronous.py``).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from ..obs.flight import (EVENT_DELIVER, EVENT_DROP, EVENT_LATE,
-                          EVENT_RECOVERY, EVENT_RETRANSMIT, EVENT_SEND)
 from .faults import FaultPlan
 from .latency import LatencyModel
-from .message import Message
-from .simulator import SynchronousNetwork
+from .simulator import NO_RETRY, RetryPolicy, SynchronousNetwork
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retransmission with multiplicative backoff.
-
-    Attributes
-    ----------
-    max_attempts:
-        Total transmission attempts per unicast copy, including the
-        original send.  ``1`` disables retransmission entirely (the
-        historical bare-timeout behaviour).
-    backoff:
-        Grace-window multiplier: retry attempt ``k`` (1-based) waits up
-        to ``round_timeout * backoff**k`` for the re-sent copy.  Must be
-        at least 1.
-    """
-
-    max_attempts: int = 1
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.backoff < 1.0:
-            raise ValueError("backoff multiplier must be at least 1")
-
-    @property
-    def max_retries(self) -> int:
-        """Retransmission attempts beyond the original send."""
-        return self.max_attempts - 1
-
-    def grace_window(self, round_timeout: float, attempt: int) -> float:
-        """Barrier extension granted to retry ``attempt`` (1-based)."""
-        return round_timeout * (self.backoff ** attempt)
-
-
-#: The policy with no retransmission at all (bare-timeout semantics).
-NO_RETRY = RetryPolicy(max_attempts=1)
+__all__ = ["NO_RETRY", "RetryPolicy", "TimeoutNetwork"]
 
 
 class TimeoutNetwork(SynchronousNetwork):
@@ -108,182 +69,3 @@ class TimeoutNetwork(SynchronousNetwork):
         self.latency_model = latency_model
         self.round_timeout = round_timeout
         self.retry_policy = retry_policy or NO_RETRY
-        #: Wall clock: sum of per-round barrier durations (grace
-        #: sub-rounds included).
-        self.clock = 0.0
-        #: Unicast copies finally dropped for arriving after the timeout
-        #: (post-retry: a copy recovered by a retransmission is not late).
-        self.late_messages = 0
-        #: Retransmission attempts across all grace sub-rounds.
-        self.retries = 0
-        #: Late copies that a retransmission delivered in time.
-        self.recovered = 0
-        #: Per-round barrier durations (timeout + grace extensions, or
-        #: the slowest on-time arrival when nothing was missing).
-        self.round_durations: List[float] = []
-
-    def deliver(self) -> int:
-        """Deliver the round under the latency model and advance the clock.
-
-        Barrier semantics: the barrier waits its **full timeout whenever
-        any expected copy is missing** — whether the copy is late under
-        the latency model, dropped by the fault plan, or its sender has
-        crashed; a receiver cannot tell those apart, so the wait is the
-        same.  Only a round in which every copy arrives releases early,
-        at the slowest on-time arrival.
-
-        Late copies (and only those — deterministic withholding by a
-        crashed or faulty sender is not transient) are then re-sent in up
-        to ``retry_policy.max_retries`` grace sub-rounds; copies still
-        missing afterwards are declared withheld.  Late messages are
-        *transmitted* (they count toward the metrics, exactly like
-        fault-plan drops) whether or not they eventually arrive.
-        """
-        delivered = 0
-        flight = self.flight
-        queued, self._outbox = self._outbox, []
-        slowest_on_time = 0.0
-        withheld_this_round = 0  # fault-plan drops + crashed-sender copies
-        # Late copies eligible for retry, paired with the seq of their
-        # original flight "send" event so retry events link back to it.
-        pending: List[Tuple[Message, Optional[int]]] = []
-        for message in queued:
-            if self.fault_plan.sender_is_crashed(message.sender,
-                                                 self.round_index):
-                # The receivers still expected this round's copies: a
-                # crashed sender holds the barrier to its full timeout.
-                if message.is_broadcast:
-                    withheld_this_round += len(
-                        self._broadcast_recipients(message.sender))
-                else:
-                    withheld_this_round += 1
-                continue
-            stamped = message.with_round(self.round_index)
-            if message.is_broadcast:
-                self.bulletin_board.append(stamped)
-                recipients = self._broadcast_recipients(message.sender)
-                self.metrics.record(stamped, self.num_participants,
-                                    copies=len(recipients))
-            else:
-                recipients = [message.recipient]
-                self.metrics.record(stamped, self.num_participants)
-            for recipient in recipients:
-                unicast = Message(sender=stamped.sender, recipient=recipient,
-                                  kind=stamped.kind, payload=stamped.payload,
-                                  field_elements=stamped.field_elements,
-                                  round_sent=self.round_index)
-                sent_seq: Optional[int] = None
-                if flight.enabled:
-                    sent = flight.record(
-                        EVENT_SEND, round_index=self.round_index,
-                        kind=unicast.kind, sender=unicast.sender,
-                        receiver=recipient,
-                        field_elements=unicast.field_elements)
-                    sent_seq = sent.seq if sent is not None else None
-                final = self.fault_plan.transform(unicast, self.round_index)
-                if final is None:
-                    withheld_this_round += 1
-                    if flight.enabled:
-                        flight.record(EVENT_DROP,
-                                      round_index=self.round_index,
-                                      kind=unicast.kind,
-                                      sender=unicast.sender,
-                                      receiver=recipient,
-                                      field_elements=unicast.field_elements,
-                                      link=sent_seq, detail="fault_plan")
-                    continue
-                delay = self.latency_model.sample(stamped.sender, recipient)
-                if delay > self.round_timeout:
-                    pending.append((final, sent_seq))
-                    if flight.enabled:
-                        flight.record(EVENT_LATE,
-                                      round_index=self.round_index,
-                                      kind=final.kind, sender=final.sender,
-                                      receiver=recipient,
-                                      field_elements=final.field_elements,
-                                      link=sent_seq, detail="missed_barrier")
-                    continue
-                slowest_on_time = max(slowest_on_time, delay)
-                self._inboxes[recipient].append(final)
-                if self.record_deliveries:
-                    self.delivery_log.append(final)
-                delivered += 1
-                if flight.enabled:
-                    flight.record(EVENT_DELIVER, round_index=self.round_index,
-                                  kind=final.kind, sender=final.sender,
-                                  receiver=recipient,
-                                  field_elements=final.field_elements,
-                                  link=sent_seq)
-        # A barrier waits its full timeout whenever something is missing
-        # (late, dropped, or from a crashed sender — all indistinguishable
-        # to the receivers); otherwise it releases at the slowest on-time
-        # arrival.
-        missing = withheld_this_round + len(pending)
-        duration = self.round_timeout if missing else slowest_on_time
-        # Grace sub-rounds: bounded retransmission with backoff.
-        retries_this_round = 0
-        recovered_this_round = 0
-        for attempt in range(1, self.retry_policy.max_attempts):
-            if not pending:
-                break
-            window = self.retry_policy.grace_window(self.round_timeout,
-                                                    attempt)
-            still_pending: List[Tuple[Message, Optional[int]]] = []
-            slowest_recovered = 0.0
-            for copy, sent_seq in pending:
-                self.metrics.record_retransmission(copy)
-                retries_this_round += 1
-                if flight.enabled:
-                    flight.record(EVENT_RETRANSMIT,
-                                  round_index=self.round_index,
-                                  kind=copy.kind, sender=copy.sender,
-                                  receiver=copy.recipient,
-                                  field_elements=copy.field_elements,
-                                  attempt=attempt, link=sent_seq)
-                delay = self.latency_model.sample(copy.sender,
-                                                  copy.recipient)
-                if delay > window:
-                    still_pending.append((copy, sent_seq))
-                    continue
-                slowest_recovered = max(slowest_recovered, delay)
-                self._inboxes[copy.recipient].append(copy)
-                if self.record_deliveries:
-                    self.delivery_log.append(copy)
-                self.metrics.record_recovery()
-                recovered_this_round += 1
-                delivered += 1
-                if flight.enabled:
-                    flight.record(EVENT_RECOVERY,
-                                  round_index=self.round_index,
-                                  kind=copy.kind, sender=copy.sender,
-                                  receiver=copy.recipient,
-                                  field_elements=copy.field_elements,
-                                  attempt=attempt, link=sent_seq)
-            # The grace barrier waits its full window while anything is
-            # still missing; otherwise it releases at the last recovery.
-            duration += window if still_pending else slowest_recovered
-            pending = still_pending
-        if flight.enabled:
-            for copy, sent_seq in pending:
-                flight.record(EVENT_DROP, round_index=self.round_index,
-                              kind=copy.kind, sender=copy.sender,
-                              receiver=copy.recipient,
-                              field_elements=copy.field_elements,
-                              link=sent_seq, detail="late")
-        late_this_round = len(pending)
-        self.late_messages += late_this_round
-        self.retries += retries_this_round
-        self.recovered += recovered_this_round
-        self.round_durations.append(duration)
-        self.clock += duration
-        self.metrics.record_round()
-        if self.observer.enabled:
-            self.observer.event("network_round", round=self.round_index,
-                                messages=len(queued), delivered=delivered,
-                                late=late_this_round,
-                                withheld=withheld_this_round,
-                                retries=retries_this_round,
-                                recovered=recovered_this_round,
-                                barrier_duration=duration)
-        self.round_index += 1
-        return delivered

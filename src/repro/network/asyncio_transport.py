@@ -12,22 +12,25 @@ synchronization barrier:
 2. the hub collects the round's submissions and routes them in global
    submission order — the same order the in-process simulator drains its
    outbox, so fault-plan and latency RNG consumption match exactly;
-3. each routed copy runs through the *same* failure model as
-   :class:`~repro.network.asynchronous.TimeoutNetwork` — crash plans,
-   per-copy fault transforms, sampled latency against ``round_timeout``,
-   :class:`~repro.network.asynchronous.RetryPolicy` grace sub-rounds
-   with the same clock/duration formulas — and surviving copies are
-   written to the recipient's socket as ``copy`` frames;
+3. the routed messages go through the *same* delivery loop as every
+   other network — the transport is a
+   :class:`~repro.network.asynchronous.TimeoutNetwork` and inherits
+   :meth:`~repro.network.simulator.SynchronousNetwork.deliver` (crash
+   plans, per-copy fault transforms, sampled latency against
+   ``round_timeout``, :class:`~repro.network.asynchronous.RetryPolicy`
+   grace sub-rounds, clock and flight events).  Only the hand-off
+   differs: a surviving copy is written to the recipient's socket as a
+   ``copy`` frame instead of being appended to an inbox;
 4. the barrier releases when every delivered copy has been acknowledged
    (``ack`` frames); a socket-level failure to do so within a generous
    wall-clock bound raises :class:`~repro.network.transport
    .TransportError`.
 
-The simulated clock (``clock``/``round_durations``) advances by
-``TimeoutNetwork``'s formulas, not wall time: the sockets carry the
-bytes, the latency model decides the semantics.  The transport is its
-own ``network_view()`` — it exposes the full duck-typed state surface
-(``metrics``, ``round_index``, ``clock``, ``late_messages``,
+The simulated clock (``clock``/``round_durations``) advances by the
+shared loop's formulas, not wall time: the sockets carry the bytes, the
+latency model decides the semantics.  The transport is its own
+``network_view()``: as a network subclass it carries the full state
+surface (``metrics``, ``round_index``, ``clock``, ``late_messages``,
 ``retries``, ``recovered``, ``round_durations``, ``bulletin_board``,
 ``observer``, ``flight``, ``broadcast_to_extras``) that checkpoints and
 the observability bindings read.
@@ -39,18 +42,12 @@ import asyncio
 import pickle
 import random
 import struct
-from collections import defaultdict
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..obs.flight import (EVENT_DELIVER, EVENT_DROP, EVENT_LATE,
-                          EVENT_RECOVERY, EVENT_RETRANSMIT, EVENT_SEND,
-                          NULL_FLIGHT, FlightRecorder)
-from ..obs.spans import NULL_RECORDER
-from .asynchronous import NO_RETRY, RetryPolicy
-from .faults import FaultPlan, obedient_plan
+from .asynchronous import RetryPolicy, TimeoutNetwork
+from .faults import FaultPlan
 from .latency import LatencyModel
-from .message import BROADCAST, Message
-from .metrics import NetworkMetrics
+from .message import Message
 from .transport import Transport, TransportError
 
 _HEADER = struct.Struct(">I")
@@ -71,8 +68,8 @@ async def _read_frame(reader: asyncio.StreamReader
     return pickle.loads(body)
 
 
-class AsyncioSocketTransport(Transport):
-    """Localhost TCP transport with TimeoutNetwork's failure model.
+class AsyncioSocketTransport(TimeoutNetwork, Transport):
+    """Localhost TCP transport over the shared delivery loop.
 
     Parameters
     ----------
@@ -99,37 +96,18 @@ class AsyncioSocketTransport(Transport):
                  round_timeout: float = 1.0,
                  retry_policy: Optional[RetryPolicy] = None,
                  host: str = "127.0.0.1") -> None:
-        if num_agents < 1:
-            raise ValueError("need at least one agent")
-        if extra_participants < 0:
-            raise ValueError("extra_participants must be non-negative")
-        if round_timeout <= 0:
-            raise ValueError("round timeout must be positive")
-        self.num_agents = num_agents
-        self.num_participants = num_agents + extra_participants
-        self.broadcast_to_extras = False
-        self.fault_plan = fault_plan or obedient_plan()
-        self.latency_model = latency_model or LatencyModel(
-            random.Random(0), base=0.0, jitter=0.0)
-        self.round_timeout = round_timeout
-        self.retry_policy = retry_policy or NO_RETRY
-        self.metrics = NetworkMetrics()
-        self.bulletin_board: List[Message] = []
-        self.round_index = 0
-        self.clock = 0.0
-        self.late_messages = 0
-        self.retries = 0
-        self.recovered = 0
-        self.round_durations: List[float] = []
-        self.observer = NULL_RECORDER
-        self.flight: FlightRecorder = NULL_FLIGHT
-        self._host = host
-        self._seq = 0
-        self._copy_seq = 0
-        self._pending: List[Tuple[int, Message]] = []
-        self._inboxes: Dict[int, List[Message]] = defaultdict(list)
+        super().__init__(
+            num_agents,
+            latency_model or LatencyModel(random.Random(0), base=0.0,
+                                          jitter=0.0),
+            round_timeout, fault_plan=fault_plan,
+            extra_participants=extra_participants,
+            retry_policy=retry_policy)
         self._submissions: List[Tuple[int, Message]] = []
-        self._acks: Set[int] = set()
+        #: Copies written this round and not yet acknowledged.  Each
+        #: endpoint acks every copy exactly once over its own TCP stream,
+        #: so a count closes the barrier; no per-copy ids are needed.
+        self._unacked = 0
         self._closed = False
         self._loop = asyncio.new_event_loop()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -138,7 +116,7 @@ class AsyncioSocketTransport(Transport):
         self._tasks: List[asyncio.Task] = []
         self._frame_event = asyncio.Event()
         try:
-            self._loop.run_until_complete(self._start())
+            self._loop.run_until_complete(self._start(host))
         except BaseException:
             # A half-built transport (e.g. the hello barrier timed out)
             # must not leak its server socket, connections, reader tasks
@@ -148,7 +126,7 @@ class AsyncioSocketTransport(Transport):
             raise
 
     # -- connection setup -----------------------------------------------------
-    async def _start(self) -> None:
+    async def _start(self, host: str) -> None:
         hellos: asyncio.Queue = asyncio.Queue()
 
         async def handle(reader: asyncio.StreamReader,
@@ -163,11 +141,10 @@ class AsyncioSocketTransport(Transport):
             self._tasks.append(
                 self._loop.create_task(self._hub_reader(reader)))
 
-        self._server = await asyncio.start_server(handle, host=self._host,
-                                                  port=0)
+        self._server = await asyncio.start_server(handle, host=host, port=0)
         port = self._server.sockets[0].getsockname()[1]
         for pid in range(self.num_participants):
-            reader, writer = await asyncio.open_connection(self._host, port)
+            reader, writer = await asyncio.open_connection(host, port)
             self._client_writers[pid] = writer
             writer.write(_encode_frame(("hello", pid)))
             await writer.drain()
@@ -186,7 +163,7 @@ class AsyncioSocketTransport(Transport):
             if frame[0] == "submit":
                 self._submissions.append((frame[1], frame[2]))
             elif frame[0] == "ack":
-                self._acks.add(frame[1])
+                self._unacked -= 1
             self._frame_event.set()
 
     async def _endpoint_reader(self, pid: int,
@@ -197,40 +174,10 @@ class AsyncioSocketTransport(Transport):
             if frame is None:
                 return
             if frame[0] == "copy":
-                copy_id, message = frame[1], frame[2]
-                self._inboxes[pid].append(message)
+                self._inboxes[pid].append(frame[1])
                 writer = self._client_writers[pid]
-                writer.write(_encode_frame(("ack", copy_id)))
+                writer.write(_encode_frame(("ack",)))
                 await writer.drain()
-
-    # -- transmission primitives ----------------------------------------------
-    def _check_participant(self, participant: int, role: str) -> None:
-        if not 0 <= participant < self.num_participants:
-            raise ValueError("invalid %s id %d" % (role, participant))
-
-    def send(self, sender: int, recipient: int, kind: str, payload: Any,
-             field_elements: int = 1) -> None:
-        self._check_participant(sender, "sender")
-        self._check_participant(recipient, "recipient")
-        if sender == recipient:
-            raise ValueError("agents do not message themselves")
-        self._pending.append((self._seq, Message(
-            sender=sender, recipient=recipient, kind=kind, payload=payload,
-            field_elements=field_elements)))
-        self._seq += 1
-
-    def publish(self, sender: int, kind: str, payload: Any,
-                field_elements: int = 1) -> None:
-        self._check_participant(sender, "sender")
-        self._pending.append((self._seq, Message(
-            sender=sender, recipient=BROADCAST, kind=kind, payload=payload,
-            field_elements=field_elements)))
-        self._seq += 1
-
-    def _broadcast_recipients(self, sender: int) -> List[int]:
-        limit = (self.num_participants if self.broadcast_to_extras
-                 else self.num_agents)
-        return [a for a in range(limit) if a != sender]
 
     # -- the round barrier ----------------------------------------------------
     def step(self) -> int:
@@ -242,7 +189,8 @@ class AsyncioSocketTransport(Transport):
         """Real-time bound on socket progress (not the simulated clock)."""
         return max(5.0, self.round_timeout)
 
-    async def _await_frames(self, done: Callable[[], bool]) -> None:
+    async def _await_frames(self, done: Callable[[], bool],
+                            round_index: int) -> None:
         """Wait until ``done()`` holds, re-checking after every frame."""
         try:
             while not done():
@@ -252,192 +200,37 @@ class AsyncioSocketTransport(Transport):
         except asyncio.TimeoutError:
             raise TransportError(
                 "socket barrier stalled: round %d did not complete within "
-                "%.1fs of wall time" % (self.round_index, self._wall_bound()))
+                "%.1fs of wall time" % (round_index, self._wall_bound()))
 
-    def _transmit(self, recipient: int, message: Message,
-                  expected_acks: Set[int]) -> None:
+    def _hand_off(self, recipient: int, message: Message) -> None:
         """Write one surviving copy to its recipient's socket."""
-        copy_id = self._copy_seq
-        self._copy_seq += 1
-        expected_acks.add(copy_id)
-        self._hub_writers[recipient].write(
-            _encode_frame(("copy", copy_id, message)))
+        self._unacked += 1
+        self._hub_writers[recipient].write(_encode_frame(("copy", message)))
 
     async def _step_async(self) -> int:
-        expected = len(self._pending)
+        # ``deliver`` advances round_index before the ack barrier runs.
+        round_index = self.round_index
         self._submissions = []
-        self._acks = set()
-        for seq, message in self._pending:
+        self._unacked = 0
+        queued, self._outbox = self._outbox, []
+        for seq, message in enumerate(queued):
             self._client_writers[message.sender].write(
                 _encode_frame(("submit", seq, message)))
-        self._pending = []
         for writer in self._client_writers.values():
             await writer.drain()
-        await self._await_frames(lambda: len(self._submissions) >= expected)
+        await self._await_frames(
+            lambda: len(self._submissions) >= len(queued), round_index)
         # Route in global submission order: identical to the in-process
         # simulator's outbox drain, so RNG consumption and metrics match.
-        queued = [message for _, message in
-                  sorted(self._submissions, key=lambda pair: pair[0])]
-
-        delivered = 0
-        flight = self.flight
-        slowest_on_time = 0.0
-        withheld_this_round = 0
-        expected_acks: Set[int] = set()
-        pending: List[Tuple[Message, Optional[int]]] = []
-        for message in queued:
-            if self.fault_plan.sender_is_crashed(message.sender,
-                                                 self.round_index):
-                if message.is_broadcast:
-                    withheld_this_round += len(
-                        self._broadcast_recipients(message.sender))
-                else:
-                    withheld_this_round += 1
-                continue
-            stamped = message.with_round(self.round_index)
-            if message.is_broadcast:
-                self.bulletin_board.append(stamped)
-                recipients = self._broadcast_recipients(message.sender)
-                self.metrics.record(stamped, self.num_participants,
-                                    copies=len(recipients))
-            else:
-                recipients = [message.recipient]
-                self.metrics.record(stamped, self.num_participants)
-            for recipient in recipients:
-                unicast = Message(sender=stamped.sender, recipient=recipient,
-                                  kind=stamped.kind, payload=stamped.payload,
-                                  field_elements=stamped.field_elements,
-                                  round_sent=self.round_index)
-                sent_seq: Optional[int] = None
-                if flight.enabled:
-                    sent = flight.record(
-                        EVENT_SEND, round_index=self.round_index,
-                        kind=unicast.kind, sender=unicast.sender,
-                        receiver=recipient,
-                        field_elements=unicast.field_elements)
-                    sent_seq = sent.seq if sent is not None else None
-                final = self.fault_plan.transform(unicast, self.round_index)
-                if final is None:
-                    withheld_this_round += 1
-                    if flight.enabled:
-                        flight.record(EVENT_DROP,
-                                      round_index=self.round_index,
-                                      kind=unicast.kind,
-                                      sender=unicast.sender,
-                                      receiver=recipient,
-                                      field_elements=unicast.field_elements,
-                                      link=sent_seq, detail="fault_plan")
-                    continue
-                delay = self.latency_model.sample(stamped.sender, recipient)
-                if delay > self.round_timeout:
-                    pending.append((final, sent_seq))
-                    if flight.enabled:
-                        flight.record(EVENT_LATE,
-                                      round_index=self.round_index,
-                                      kind=final.kind, sender=final.sender,
-                                      receiver=recipient,
-                                      field_elements=final.field_elements,
-                                      link=sent_seq, detail="missed_barrier")
-                    continue
-                slowest_on_time = max(slowest_on_time, delay)
-                self._transmit(recipient, final, expected_acks)
-                delivered += 1
-                if flight.enabled:
-                    flight.record(EVENT_DELIVER, round_index=self.round_index,
-                                  kind=final.kind, sender=final.sender,
-                                  receiver=recipient,
-                                  field_elements=final.field_elements,
-                                  link=sent_seq)
-        missing = withheld_this_round + len(pending)
-        duration = self.round_timeout if missing else slowest_on_time
-        retries_this_round = 0
-        recovered_this_round = 0
-        for attempt in range(1, self.retry_policy.max_attempts):
-            if not pending:
-                break
-            window = self.retry_policy.grace_window(self.round_timeout,
-                                                    attempt)
-            still_pending: List[Tuple[Message, Optional[int]]] = []
-            slowest_recovered = 0.0
-            for copy, sent_seq in pending:
-                self.metrics.record_retransmission(copy)
-                retries_this_round += 1
-                if flight.enabled:
-                    flight.record(EVENT_RETRANSMIT,
-                                  round_index=self.round_index,
-                                  kind=copy.kind, sender=copy.sender,
-                                  receiver=copy.recipient,
-                                  field_elements=copy.field_elements,
-                                  attempt=attempt, link=sent_seq)
-                delay = self.latency_model.sample(copy.sender,
-                                                  copy.recipient)
-                if delay > window:
-                    still_pending.append((copy, sent_seq))
-                    continue
-                slowest_recovered = max(slowest_recovered, delay)
-                self._transmit(copy.recipient, copy, expected_acks)
-                self.metrics.record_recovery()
-                recovered_this_round += 1
-                delivered += 1
-                if flight.enabled:
-                    flight.record(EVENT_RECOVERY,
-                                  round_index=self.round_index,
-                                  kind=copy.kind, sender=copy.sender,
-                                  receiver=copy.recipient,
-                                  field_elements=copy.field_elements,
-                                  attempt=attempt, link=sent_seq)
-            duration += window if still_pending else slowest_recovered
-            pending = still_pending
-        if flight.enabled:
-            for copy, sent_seq in pending:
-                flight.record(EVENT_DROP, round_index=self.round_index,
-                              kind=copy.kind, sender=copy.sender,
-                              receiver=copy.recipient,
-                              field_elements=copy.field_elements,
-                              link=sent_seq, detail="late")
+        self._outbox = [message for _, message in
+                        sorted(self._submissions, key=lambda pair: pair[0])]
+        delivered = self.deliver()
         # Ack barrier: every copy put on the wire must come back
         # acknowledged before the round closes.
         for writer in self._hub_writers.values():
             await writer.drain()
-        await self._await_frames(lambda: expected_acks <= self._acks)
-        late_this_round = len(pending)
-        self.late_messages += late_this_round
-        self.retries += retries_this_round
-        self.recovered += recovered_this_round
-        self.round_durations.append(duration)
-        self.clock += duration
-        self.metrics.record_round()
-        if self.observer.enabled:
-            self.observer.event("network_round", round=self.round_index,
-                                messages=len(queued), delivered=delivered,
-                                late=late_this_round,
-                                withheld=withheld_this_round,
-                                retries=retries_this_round,
-                                recovered=recovered_this_round,
-                                barrier_duration=duration)
-        self.round_index += 1
+        await self._await_frames(lambda: self._unacked == 0, round_index)
         return delivered
-
-    # -- reception ------------------------------------------------------------
-    def receive(self, agent: int, kind: Optional[str] = None
-                ) -> List[Message]:
-        self._check_participant(agent, "agent")
-        inbox = self._inboxes[agent]
-        if kind is None:
-            self._inboxes[agent] = []
-            return inbox
-        matched = [m for m in inbox if m.kind == kind]
-        self._inboxes[agent] = [m for m in inbox if m.kind != kind]
-        return matched
-
-    def peek(self, agent: int) -> Tuple[Message, ...]:
-        self._check_participant(agent, "agent")
-        return tuple(self._inboxes[agent])
-
-    def published(self, kind: Optional[str] = None) -> List[Message]:
-        if kind is None:
-            return list(self.bulletin_board)
-        return [m for m in self.bulletin_board if m.kind == kind]
 
     # -- lifecycle ------------------------------------------------------------
     def network_view(self) -> "AsyncioSocketTransport":

@@ -12,9 +12,10 @@ below that loop is a :class:`Transport`.  Two implementations ship:
   transcripts, per-agent counters, and flight summaries
   (``tests/test_transport.py`` pins this against a golden fixture).
 * :class:`~repro.network.asyncio_transport.AsyncioSocketTransport` —
-  localhost TCP with one asyncio reader task per participant, honoring
-  :class:`~repro.network.asynchronous.TimeoutNetwork`'s barrier/timeout/
-  retry failure model exactly.
+  localhost TCP with one asyncio reader task per participant.  It is a
+  :class:`~repro.network.asynchronous.TimeoutNetwork` subclass: the
+  barrier/timeout/retry failure model is the simulator's own delivery
+  loop, and only the hand-off of a surviving copy goes over the socket.
 
 Contract (see ``docs/TRANSPORTS.md``):
 
@@ -27,8 +28,9 @@ Contract (see ``docs/TRANSPORTS.md``):
   any network activity.
 * ``network_view()`` returns the object the driver exposes as
   ``protocol.network`` — the wrapped simulator in-process, the transport
-  itself for socket transports — so checkpoints, the process pool, and
-  the observability bindings stay transport-agnostic via duck typing.
+  itself for the socket transport (a network subclass) — so
+  checkpoints, the process pool, and the observability bindings stay
+  transport-agnostic.
 """
 
 from __future__ import annotations

@@ -60,9 +60,16 @@ def _error(status: int, code: str, detail: Any = None) -> bytes:
     return _json_response(status, document)
 
 
+class _PayloadTooLarge(Exception):
+    """The declared body exceeds :data:`MAX_BODY_BYTES` (answered 413)."""
+
+
 async def _read_request(reader: asyncio.StreamReader
                         ) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one request; returns (method, path, body) or None."""
+    """Parse one request; returns (method, path, body) or None.
+
+    Raises :class:`_PayloadTooLarge` instead of reading an oversized body.
+    """
     try:
         request_line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -83,7 +90,7 @@ async def _read_request(reader: asyncio.StreamReader
             except ValueError:
                 return None
     if content_length < 0 or content_length > MAX_BODY_BYTES:
-        return method, path, b"\x00overflow"
+        raise _PayloadTooLarge()
     body = b""
     if content_length:
         try:
@@ -118,16 +125,16 @@ class ServiceGateway:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await _read_request(reader)
-            if request is None:
-                writer.close()
-                await writer.wait_closed()
-                return
-            method, path, body = request
-            if body == b"\x00overflow":
+            try:
+                request = await _read_request(reader)
+            except _PayloadTooLarge:
                 payload = _error(413, "payload_too_large")
             else:
-                payload = await self._route(method, path, body)
+                if request is None:
+                    writer.close()
+                    await writer.wait_closed()
+                    return
+                payload = await self._route(*request)
             writer.write(payload)
             await writer.drain()
         except (ConnectionError, asyncio.CancelledError):

@@ -143,16 +143,28 @@ class TestResume:
             self, params5, problem, baseline, tmp_path, boundary):
         path = str(tmp_path / "cp.json")
         checkpoint_after(params5, problem, boundary, path)
-        loaded = serialization.load_checkpoint(path)
-        fresh = DMWProtocol(params5, make_agents(params5, problem))
-        outcome = fresh.execute(problem.num_tasks, resume=loaded)
-        assert outcome.completed
-        assert outcome.schedule.assignment == baseline.schedule.assignment
-        assert list(outcome.payments) == list(baseline.payments)
-        assert outcome.transcripts == baseline.transcripts
-        assert outcome.agent_operations == baseline.agent_operations
-        assert outcome.network_metrics.as_dict() == \
-            baseline.network_metrics.as_dict()
+        with open(path) as handle:
+            document = json.load(handle)
+        assert sorted(document["timeout_state"]) == [
+            "clock", "late_messages", "recovered", "retries"]
+        # A document written before every network carried the barrier
+        # state has an empty ``timeout_state``; it must resume the same.
+        legacy = dict(document, timeout_state={})
+        for loaded in (serialization.load_checkpoint(path),
+                       serialization.checkpoint_from_dict(legacy)):
+            fresh = DMWProtocol(params5, make_agents(params5, problem))
+            outcome = fresh.execute(problem.num_tasks, resume=loaded)
+            assert (fresh.network.clock, fresh.network.late_messages,
+                    fresh.network.retries, fresh.network.recovered) == \
+                (0.0, 0, 0, 0)
+            assert outcome.completed
+            assert outcome.schedule.assignment == \
+                baseline.schedule.assignment
+            assert list(outcome.payments) == list(baseline.payments)
+            assert outcome.transcripts == baseline.transcripts
+            assert outcome.agent_operations == baseline.agent_operations
+            assert outcome.network_metrics.as_dict() == \
+                baseline.network_metrics.as_dict()
 
     def test_resume_at_final_boundary_runs_zero_auctions(
             self, params5, problem, baseline, tmp_path):

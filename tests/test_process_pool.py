@@ -244,6 +244,30 @@ class TestPoolValidation:
         with pytest.raises(ParameterError):
             protocol.execute(3, parallel=True, workers=2)
 
+    def test_network_subclasses_are_rejected(self):
+        # TimeoutNetwork and the asyncio transport share the simulator's
+        # delivery loop by subclassing it; the pool still takes only the
+        # plain SynchronousNetwork.
+        from repro.network.asynchronous import TimeoutNetwork
+        from repro.network.latency import LatencyModel
+        from repro.network.transport import create_transport
+        params = params_for(5)
+        problem = make_problem(params, 3)
+        agents = build_protocol(params, problem).agents
+        network = TimeoutNetwork(5, LatencyModel(random.Random(0)),
+                                 round_timeout=1.0, extra_participants=1)
+        with pytest.raises(ParameterError, match="TimeoutNetwork"):
+            DMWProtocol(params, agents, network=network).execute(
+                3, parallel=True, workers=2)
+        transport = create_transport("asyncio", 5)
+        try:
+            with pytest.raises(ParameterError,
+                               match="AsyncioSocketTransport"):
+                DMWProtocol(params, agents, transport=transport).execute(
+                    3, parallel=True, workers=2)
+        finally:
+            transport.close()
+
     def test_delivery_recording_is_rejected(self):
         params = params_for(5)
         problem = make_problem(params, 3)

@@ -25,6 +25,7 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
 import json
 import os
 import pickle
+import socket
 import sys
 import threading
 import urllib.error
@@ -41,6 +42,7 @@ from repro.obs.export import parse_prometheus, validate_run_report
 from repro.service import (AuctionService, JobValidationError, ServiceGateway,
                            WarmCacheStore, parse_job)
 from repro.service.engine import JobRecord  # noqa: F401 - re-export check
+from repro.service.gateway import MAX_BODY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +279,31 @@ class TestRejectPath:
         assert len(service.jobs()) == before  # queue untouched
 
     def test_non_json_body_rejected(self, service, client):
-        request = urllib.request.Request(
-            client.base + "/jobs", data=b"not json",
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
+        # ``\x00overflow`` must not be mistaken for an oversized body.
+        for data in (b"not json", b"\x00overflow"):
+            request = urllib.request.Request(
+                client.base + "/jobs", data=data,
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            assert json.loads(excinfo.value.read())["error"] == \
+                "invalid_json"
+
+    def test_oversized_body_rejected_unread(self, service, client):
+        port = int(client.base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            s.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                      % (MAX_BODY_BYTES + 1))
+            response = b""
+            while True:
+                chunk = s.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert json.loads(body)["error"] == "payload_too_large"
 
     def test_parse_job_errors_carry_every_field(self):
         with pytest.raises(JobValidationError) as excinfo:

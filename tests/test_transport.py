@@ -14,7 +14,9 @@ Three guarantees pinned here:
    :data:`~repro.network.asynchronous.NO_RETRY` and a zero-latency model
    is bit-identical to a bare ``SynchronousNetwork``: outcomes,
    ``NetworkMetrics``, and the full flight-event sequence, under fault
-   plans with dropped links and crashes.
+   plans with dropped links and crashes.  The asyncio transport matches
+   the ``TimeoutNetwork`` on the same inputs, flight events and simulated
+   clock included, and under lossy latency with retries.
 """
 
 import gc
@@ -116,6 +118,25 @@ class TestAsyncioTransportUnit:
             assert [m.payload for m in transport.receive(0)] == ["board"]
             assert transport.round_index == 1
             assert len(transport.published("y")) == 1
+        finally:
+            transport.close()
+
+    def test_ack_stall_names_the_stalled_round(self, monkeypatch):
+        transport = create_transport("asyncio", 3)
+        try:
+            transport.send(0, 1, "x", 1)
+            transport.step()
+            hand_off = transport._hand_off
+
+            def hand_off_unacked(recipient, message):
+                hand_off(recipient, message)
+                transport._unacked += 1  # an ack that never comes
+
+            monkeypatch.setattr(transport, "_hand_off", hand_off_unacked)
+            monkeypatch.setattr(transport, "_wall_bound", lambda: 0.05)
+            transport.send(1, 2, "y", 2)
+            with pytest.raises(TransportError, match="round 1 did not"):
+                transport.step()
         finally:
             transport.close()
 
@@ -223,14 +244,26 @@ class TestAsyncioSocketParity:
                                             random.Random(seed))
         policy = RetryPolicy(max_attempts=2)
         timeout = 0.05
+        # Default links (10-20 ms) always make the 50 ms barrier.  Link
+        # 1->2 (40-80 ms) is late about half the time and always recovered
+        # in the 100 ms grace window; link 2->infrastructure (70-140 ms)
+        # is always late and recovered only sometimes, so late drops,
+        # retries and recoveries are all exercised.
+        slow_links = {(1, 2): 4.0, (2, n): 7.0}
 
         network = TimeoutNetwork(
-            n, LatencyModel(random.Random(99)), round_timeout=timeout,
-            extra_participants=1, retry_policy=policy)
+            n, LatencyModel(random.Random(99), per_link_scale=slow_links),
+            round_timeout=timeout, extra_participants=1,
+            retry_policy=policy)
         reference = _run_protocol(parameters, problem, seed, network=network)
+        assert network.late_messages > 0
+        assert network.retries > 0
+        assert network.recovered > 0
 
         transport = create_transport(
-            "asyncio", n, latency_model=LatencyModel(random.Random(99)),
+            "asyncio", n,
+            latency_model=LatencyModel(random.Random(99),
+                                       per_link_scale=slow_links),
             round_timeout=timeout, retry_policy=policy)
         try:
             socketed = _run_protocol(parameters, problem, seed,
@@ -296,7 +329,10 @@ class TestTimeoutMatchesSynchronousDifferential:
     The timeout barrier only changes behaviour when a copy is *late*;
     with a zero-latency model nothing ever is, so outcomes, metrics, and
     the complete flight-event stream (link fields included) must be
-    bit-identical under any fault plan.
+    bit-identical under any fault plan.  The asyncio socket transport is
+    a third input: under the same models it must match ``TimeoutNetwork``
+    on outcome, flight events, and the simulated clock, both here and
+    under lossy latency with retransmission.
     """
 
     @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
@@ -325,17 +361,78 @@ class TestTimeoutMatchesSynchronousDifferential:
                                         flight=timeout_flight,
                                         degraded=degraded)
 
-        assert _outcome_signature(timeout_outcome) == \
-            _outcome_signature(sync_outcome)
-        if sync_outcome.abort is not None:
-            assert timeout_outcome.abort.reason == sync_outcome.abort.reason
-            assert timeout_outcome.abort.phase == sync_outcome.abort.phase
-        assert sorted(timeout_outcome.task_aborts) == \
-            sorted(sync_outcome.task_aborts)
-        assert _flight_signature(timeout_flight) == \
-            _flight_signature(sync_flight)
-        assert timeout_flight.summary() == sync_flight.summary()
+        _assert_same_run(timeout_outcome, timeout_flight,
+                         sync_outcome, sync_flight)
         # Nothing was ever late, so the timeout bookkeeping must be inert.
         assert timeout_network.late_messages == 0
         assert timeout_network.retries == 0
         assert timeout_network.recovered == 0
+
+        _assert_socket_transport_matches(
+            timeout_network, timeout_outcome, timeout_flight,
+            parameters, problem, seed, degraded,
+            fault_plan=FAULT_PLANS[plan_name](),
+            latency_model=_zero_latency(), round_timeout=1.0,
+            retry_policy=NO_RETRY)
+
+    def test_socket_transport_matches_under_lossy_latency_with_retry(self):
+        n, m, seed = 5, 2, 13
+        parameters = DMWParameters.generate(n, fault_bound=1,
+                                            group_size="small")
+        problem = workloads.random_discrete(n, m, parameters.bid_values,
+                                            random.Random(seed))
+        policy = RetryPolicy(max_attempts=3)
+        slow_links = {(0, 3): 4.0, (4, 1): 12.0, (1, n): 9.0}
+
+        def lossy_latency():
+            return LatencyModel(random.Random(5), per_link_scale=slow_links)
+
+        timeout_flight = FlightRecorder()
+        timeout_network = TimeoutNetwork(
+            n, lossy_latency(), round_timeout=0.03,
+            fault_plan=FaultPlan(dropped_links={(2, 4)}),
+            extra_participants=1, retry_policy=policy)
+        timeout_outcome = _run_protocol(parameters, problem, seed,
+                                        network=timeout_network,
+                                        flight=timeout_flight, degraded=True)
+        assert timeout_network.late_messages > 0
+        assert timeout_network.recovered > 0
+
+        _assert_socket_transport_matches(
+            timeout_network, timeout_outcome, timeout_flight,
+            parameters, problem, seed, True,
+            fault_plan=FaultPlan(dropped_links={(2, 4)}),
+            latency_model=lossy_latency(), round_timeout=0.03,
+            retry_policy=policy)
+
+
+def _assert_same_run(outcome, flight, reference, reference_flight):
+    assert _outcome_signature(outcome) == _outcome_signature(reference)
+    if reference.abort is not None:
+        assert outcome.abort.reason == reference.abort.reason
+        assert outcome.abort.phase == reference.abort.phase
+    assert sorted(outcome.task_aborts) == sorted(reference.task_aborts)
+    assert _flight_signature(flight) == _flight_signature(reference_flight)
+    assert flight.summary() == reference_flight.summary()
+
+
+def _assert_socket_transport_matches(network, outcome, flight, parameters,
+                                     problem, seed, degraded, **options):
+    """Re-run over the asyncio transport and diff against ``network``."""
+    socket_flight = FlightRecorder()
+    transport = create_transport("asyncio", parameters.num_agents,
+                                 **options)
+    try:
+        socket_outcome = _run_protocol(parameters, problem, seed,
+                                       transport=transport,
+                                       flight=socket_flight,
+                                       degraded=degraded)
+    finally:
+        transport.close()
+    _assert_same_run(socket_outcome, socket_flight, outcome, flight)
+    assert transport.clock == pytest.approx(network.clock)
+    assert transport.round_durations == pytest.approx(
+        network.round_durations)
+    assert (transport.late_messages, transport.retries,
+            transport.recovered) == (network.late_messages,
+                                     network.retries, network.recovered)
