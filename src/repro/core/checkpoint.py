@@ -160,7 +160,7 @@ class ProtocolCheckpoint:
         completed = sorted({t.task for t in protocol._transcripts}
                            | set(protocol._task_aborts))
         cache_state: Dict[str, Any] = {}
-        override = getattr(protocol, "_cache_stats_override", None)
+        override = protocol._cache_stats_override
         if override is not None:
             # Process-pool driver: per-shard caches die with their
             # workers; persist the merged cumulative statistics.

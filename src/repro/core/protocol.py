@@ -204,16 +204,18 @@ class DMWProtocol:
                 return agent
         return self.agents[0]
 
-    def _void(self, abort: ProtocolAbort) -> DMWOutcome:
-        self.trace.record("abort", task=abort.task, phase=abort.phase,
-                          reason=abort.reason,
-                          detected_by=abort.detected_by,
-                          offender=abort.offender)
+    def _emit(self, kind: str, **fields: Any) -> None:
+        """Log one protocol fact to the trace and, when observed, as a span
+        event of the same name and fields.  A ``task`` field fills the
+        trace event's task column; facts without one leave it out."""
+        self.trace.record(kind, **fields)
         if self.observer.enabled:
-            self.observer.event("abort", task=abort.task, phase=abort.phase,
-                                reason=abort.reason,
-                                detected_by=abort.detected_by,
-                                offender=abort.offender)
+            self.observer.event(kind, **fields)
+
+    def _void(self, abort: ProtocolAbort) -> DMWOutcome:
+        self._emit("abort", task=abort.task, phase=abort.phase,
+                   reason=abort.reason, detected_by=abort.detected_by,
+                   offender=abort.offender)
         if self.flight.enabled:
             self.flight.abort_dump("abort: %s (task=%s phase=%s)"
                                    % (abort.reason, abort.task, abort.phase))
@@ -241,22 +243,16 @@ class DMWProtocol:
     def _quarantine(self, task: int, abort: ProtocolAbort) -> None:
         """Degraded mode: condemn one auction instead of the whole run."""
         self._task_aborts[task] = abort
-        self.trace.record("task_quarantined", task=task, phase=abort.phase,
-                          reason=abort.reason,
-                          detected_by=abort.detected_by,
-                          offender=abort.offender)
-        if self.observer.enabled:
-            self.observer.event("task_quarantined", task=task,
-                                phase=abort.phase, reason=abort.reason,
-                                detected_by=abort.detected_by,
-                                offender=abort.offender)
+        self._emit("task_quarantined", task=task, phase=abort.phase,
+                   reason=abort.reason, detected_by=abort.detected_by,
+                   offender=abort.offender)
         if self.flight.enabled:
             self.flight.abort_dump("task_quarantined: task %d (%s)"
                                    % (task, abort.reason))
 
     def _fail_task(self, task: int, abort: ProtocolAbort,
                    active: List[int]) -> Optional[ProtocolAbort]:
-        """Handle a per-task abort inside a parallel phase driver.
+        """Handle a per-task abort inside a phase method.
 
         Strict mode returns the abort (voiding the run); degraded mode
         quarantines the task, removes it from the active set, and lets the
@@ -277,9 +273,7 @@ class DMWProtocol:
         from .checkpoint import ProtocolCheckpoint
         checkpoint = ProtocolCheckpoint.capture(self, num_tasks, next_task)
         save_checkpoint(checkpoint, path)
-        self.trace.record("checkpoint_written", next_task=next_task)
-        if self.observer.enabled:
-            self.observer.event("checkpoint_written", next_task=next_task)
+        self._emit("checkpoint_written", next_task=next_task)
 
     def _summed_operations(self) -> Dict[str, int]:
         """Sum of every agent's counter snapshot (the span ops source)."""
@@ -290,17 +284,12 @@ class DMWProtocol:
         return totals
 
     # -- phase drivers ------------------------------------------------------------
-    # Each phase is one pass of the receive/act/send state machines: every
-    # machine queues its sends, the transport steps one round barrier, and
-    # every machine absorbs its inbox before the act steps run.
-    def _run_bidding(self, task: int) -> None:
-        """Phase II: everyone encodes, sends bundles, publishes commitments."""
-        for machine in self.machines:
-            machine.send_bidding(task, self.transport)
-        self.transport.step()
-        for machine in self.machines:
-            machine.recv_bidding(self.transport)
-
+    # One driver runs every auction schedule.  Each phase is one pass of the
+    # receive/act/send state machines over a batch of tasks: every machine
+    # queues its sends for every task in the batch, the transport steps one
+    # round barrier, and every machine absorbs its inbox before the act
+    # steps run.  The sequential schedule is this driver over one-task
+    # batches; the phase-barrier schedule is one batch of all tasks.
     def _run_share_verification(self, task: int) -> Optional[ProtocolAbort]:
         """Step III.1 for every agent; any abort voids the execution."""
         for machine in self.machines:
@@ -309,176 +298,221 @@ class DMWProtocol:
                 return abort
         return None
 
-    def _collect_board(self, task: int, kind: str) -> Dict[int, object]:
-        """Drain one published-kind from every inbox into a shared view.
-
-        All broadcasts reach every other agent, so merging what each
-        machine drained reconstructs the common bulletin-board view
-        (including each publisher's own entry).
-        """
-        boards: Dict[int, Dict[int, object]] = {}
-        for machine in self.machines:
-            machine.collect_published(kind, self.transport, boards)
-        return boards.get(task, {})
-
-    def _run_complaint_round(self, task: int, kind: str,
-                             complaints_by_agent: Dict[int, List[int]]
-                             ) -> List[int]:
-        """Broadcast non-empty complaint lists; return the union.
-
-        Skipped entirely (no extra round, no messages) when nobody
-        complains — the honest-path common case, which keeps the protocol
-        at the Theorem 11 message budget.
-        """
-        if not any(complaints_by_agent.values()):
-            return []
-        for agent_index, complaints in complaints_by_agent.items():
-            if complaints:
-                self.transport.publish(agent_index, kind, (task, complaints),
-                                       field_elements=len(complaints))
-        self.transport.step()
-        union: List[int] = []
-        for machine in self.machines:
-            for message in machine.drain(kind, self.transport):
-                message_task, complained = message.payload
-                if message_task == task:
-                    union.extend(complained)
-        return sorted(set(union))
-
-    def _run_aggregates(self, task: int) -> None:
-        """Step III.2: publish, cross-validate, and arbitrate
-        ``(Lambda, Psi)``."""
-        for machine in self.machines:
-            machine.send_aggregates(task, self.transport)
-        self.transport.step()
-        board = self._collect_board(task, "lambda_psi")
-        complaints_by_agent = {
-            machine.index: machine.act_validate_aggregates(task, board)
-            for machine in self.machines
-        }
-        self.trace.record("aggregates_published", task=task,
-                          publishers=sorted(board))
-        union = self._run_complaint_round(task, "aggregate_complaint",
-                                          complaints_by_agent)
-        if union:
-            self.trace.record("complaints", task=task,
-                              stage="aggregates", accused=union)
-            for machine in self.machines:
-                machine.act_arbitrate_aggregates(task, board, union)
-
-    def _run_disclosure(self, task: int) -> List[int]:
-        """Step III.3: disclosure set publishes its ``(f, h)`` rows and
-        lowest bidders announce winner claims.  Returns the claimant list
-        in pseudonym order."""
-        for machine in self.machines:
-            machine.send_disclosure(task, self.transport,
-                                    self.parameters.num_agents)
-        self.transport.step()
-        row_boards: Dict[int, Dict[int, object]] = {}
-        claims_by_task: Dict[int, List[int]] = {}
-        for machine in self.machines:
-            machine.collect_published("f_disclosure", self.transport,
-                                      row_boards)
-            machine.collect_claims(self.transport, claims_by_task)
-        rows = row_boards.get(task, {})
-        claimants = sorted(set(claims_by_task.get(task, [])),
-                           key=lambda i: self.parameters.pseudonyms[i])
-        complaints_by_agent = {
-            machine.index: machine.act_validate_disclosures(task, rows)
-            for machine in self.machines
-        }
-        self.trace.record("disclosures_published", task=task,
-                          disclosers=sorted(rows), claimants=claimants)
-        union = self._run_complaint_round(task, "disclosure_complaint",
-                                          complaints_by_agent)
-        if union:
-            self.trace.record("complaints", task=task,
-                              stage="disclosures", accused=union)
-            for machine in self.machines:
-                machine.act_arbitrate_disclosures(task, rows, union)
-        return claimants
-
-    def _run_second_price(self, task: int) -> None:
-        """Step III.4: publish, cross-validate, and arbitrate the
-        winner-excluded aggregates."""
-        for machine in self.machines:
-            machine.send_second_price(task, self.transport)
-        self.transport.step()
-        board = self._collect_board(task, "second_price")
-        complaints_by_agent = {
-            machine.index: machine.act_validate_excluded(task, board)
-            for machine in self.machines
-        }
-        union = self._run_complaint_round(task, "second_price_complaint",
-                                          complaints_by_agent)
-        if union:
-            self.trace.record("complaints", task=task,
-                              stage="second_price", accused=union)
-            for machine in self.machines:
-                machine.act_arbitrate_excluded(task, board, union)
-
     def _run_auction(self, task: int) -> Optional[ProtocolAbort]:
-        """Run the full distributed Vickrey auction for one task."""
-        self.trace.record("auction_start", task=task)
+        """Run the full distributed Vickrey auction for one task: the
+        sequential schedule's one-task batch, inside its ``task`` span."""
         if self.flight.enabled:
             self.flight.current_task = task
         try:
             with self.observer.span("task", kind=KIND_TASK, task=task):
-                return self._run_auction_phases(task)
+                return self._run_auctions([task], task=task)
         finally:
             if self.flight.enabled:
                 self.flight.current_task = None
 
-    def _run_auction_phases(self, task: int) -> Optional[ProtocolAbort]:
-        obs = self.observer
-        with obs.span("bidding", task=task):
-            self._run_bidding(task)
-            abort = self._run_share_verification(task)
-        if abort is not None:
-            return abort
-        with obs.span("aggregation", task=task):
-            self._run_aggregates(task)
-            try:
-                for machine in self.machines:
-                    machine.act_resolve_first(task)
-            except ResolutionError as error:
-                return ProtocolAbort(str(error), phase="allocating",
-                                     task=task)
-        with obs.span("disclosure", task=task):
-            claimants = self._run_disclosure(task)
-            try:
-                for machine in self.machines:
-                    machine.act_find_winner(task, claimants)
-            except ResolutionError as error:
-                return ProtocolAbort(str(error), phase="allocating",
-                                     task=task)
-        with obs.span("resolution", task=task):
-            self._run_second_price(task)
-            try:
-                for machine in self.machines:
-                    machine.act_resolve_second(task)
-            except ResolutionError as error:
-                return ProtocolAbort(str(error), phase="allocating",
-                                     task=task)
+    def _run_auctions(self, tasks: Sequence[int],
+                      **span_attrs: Any) -> Optional[ProtocolAbort]:
+        """Run a batch of auctions phase by phase, one barrier per phase.
+
+        The paper's auctions are "parallel and independent": each protocol
+        phase executes for every task of the batch inside one
+        synchronization barrier, so a batch of all ``m`` tasks takes the
+        per-auction round count (4 plus payments) instead of ``4m + 1``.
+        Message and computation totals do not depend on the batching —
+        only rounds (and hence latency) do, which ``tests/test_parallel.py``
+        pins down.  ``span_attrs`` go on every phase span (the sequential
+        schedule tags them with its one task).
+
+        Returns the abort that voids the run (strict mode), or ``None``.
+        Degraded mode quarantines failing tasks instead and returns as soon
+        as none is left, so no empty barrier round is ever stepped.
+        """
+        for task in tasks:
+            self.trace.record("auction_start", task=task)
+        # The surviving-task set: degraded-mode quarantines remove tasks
+        # from it between (and within) phases, strict mode never mutates
+        # it (the first failure voids the run instead).
+        active = list(tasks)
+        for name, run_phase in (("bidding", self._run_bidding),
+                                ("aggregation", self._run_aggregation),
+                                ("disclosure", self._run_disclosure),
+                                ("resolution", self._run_resolution)):
+            with self.observer.span(name, **span_attrs):
+                abort = run_phase(active)
+            if abort is not None or not active:
+                return abort
         reference = self._reference_agent()
-        state = reference.task_state(task)
-        self.trace.record("auction_resolved", task=task,
-                          first_price=state.first_price,
-                          winner=state.winner,
-                          second_price=state.second_price)
-        if obs.enabled:
-            obs.event("auction_resolved", task=task,
-                      first_price=state.first_price, winner=state.winner,
-                      second_price=state.second_price)
-        self._transcripts.append(AuctionTranscript(
-            task=task,
-            first_price=state.first_price,
-            winner=state.winner,
-            second_price=state.second_price,
-            valid_aggregate_publishers=tuple(sorted(state.valid_lambdas)),
-            valid_disclosers=tuple(sorted(state.valid_disclosures)),
-        ))
+        for task in active:
+            state = reference.task_state(task)
+            self._emit("auction_resolved", task=task,
+                       first_price=state.first_price, winner=state.winner,
+                       second_price=state.second_price)
+            self._transcripts.append(AuctionTranscript(
+                task=task,
+                first_price=state.first_price,
+                winner=state.winner,
+                second_price=state.second_price,
+                valid_aggregate_publishers=tuple(sorted(
+                    state.valid_lambdas)),
+                valid_disclosers=tuple(sorted(state.valid_disclosures)),
+            ))
         return None
+
+    def _run_bidding(self, tasks: List[int]) -> Optional[ProtocolAbort]:
+        """Phase II plus step III.1 for every task inside one barrier."""
+        for task in tasks:
+            for machine in self.machines:
+                machine.send_bidding(task, self.transport)
+        self.transport.step()
+        for machine in self.machines:
+            machine.recv_bidding(self.transport)
+        for task in list(tasks):
+            abort = self._run_share_verification(task)
+            if abort is not None:
+                abort = self._fail_task(task, abort, tasks)
+                if abort is not None:
+                    return abort
+        return None
+
+    def _resolve_each(self, tasks: List[int],
+                      resolve: Callable[[AgentMachine, int], None]
+                      ) -> Optional[ProtocolAbort]:
+        """Apply one resolution step per task on every machine; a
+        :class:`ResolutionError` fails that task (see :meth:`_fail_task`)."""
+        for task in list(tasks):
+            try:
+                for machine in self.machines:
+                    resolve(machine, task)
+            except ResolutionError as error:
+                abort = self._fail_task(
+                    task, ProtocolAbort(str(error), phase="allocating",
+                                        task=task), tasks)
+                if abort is not None:
+                    return abort
+        return None
+
+    def _run_batched_complaints(self, kind: str, stage: str,
+                                boards: Dict[int, Dict[int, object]],
+                                complaints_by_agent: Dict[
+                                    int, List[Tuple[int, int]]],
+                                arbitrate: Callable[
+                                    [AgentMachine, int, Dict[int, object],
+                                     List[int]], None]) -> None:
+        """One shared complaint barrier covering every task's accusations.
+
+        Each complaining agent publishes one ``[(task, accused)]`` list;
+        the round is skipped entirely (no extra round, no messages) when
+        nobody complains — the honest-path common case, which keeps the
+        protocol at the Theorem 11 message budget.
+        ``arbitrate(machine, task, board, accused)`` applies the verdict
+        per machine once the union is known.
+        """
+        if not complaints_by_agent:
+            return
+        for agent_index, complaints in complaints_by_agent.items():
+            self.transport.publish(agent_index, kind, complaints,
+                                   field_elements=len(complaints))
+        self.transport.step()
+        union: Dict[int, set] = {}
+        for machine in self.machines:
+            for message in machine.drain(kind, self.transport):
+                for task, accused in message.payload:
+                    union.setdefault(task, set()).add(accused)
+        for task, accused in union.items():
+            self.trace.record("complaints", task=task, stage=stage,
+                              accused=sorted(accused))
+            for machine in self.machines:
+                arbitrate(machine, task, boards.get(task, {}),
+                          sorted(accused))
+
+    def _run_aggregation(self, tasks: List[int]) -> Optional[ProtocolAbort]:
+        """Step III.2 plus first-price resolution inside one barrier."""
+        boards: Dict[int, Dict[int, object]] = {}
+        for task in tasks:
+            for machine in self.machines:
+                machine.send_aggregates(task, self.transport)
+        self.transport.step()
+        for machine in self.machines:
+            machine.collect_published("lambda_psi", self.transport, boards)
+        complaints_by_agent: Dict[int, List[Tuple[int, int]]] = {}
+        for task in tasks:
+            board = boards.get(task, {})
+            for machine in self.machines:
+                for accused in machine.act_validate_aggregates(task, board):
+                    complaints_by_agent.setdefault(machine.index, []).append(
+                        (task, accused))
+            self.trace.record("aggregates_published", task=task,
+                              publishers=sorted(board))
+        self._run_batched_complaints(
+            "aggregate_complaint", "aggregates", boards, complaints_by_agent,
+            lambda machine, task, board, accused:
+                machine.act_arbitrate_aggregates(task, board, accused))
+        return self._resolve_each(
+            tasks, lambda machine, task: machine.act_resolve_first(task))
+
+    def _run_disclosure(self, tasks: List[int]) -> Optional[ProtocolAbort]:
+        """Step III.3 plus winner identification inside one barrier: the
+        disclosure set publishes its ``(f, h)`` rows and the lowest
+        bidders announce winner claims."""
+        row_boards: Dict[int, Dict[int, object]] = {}
+        claims_by_task: Dict[int, List[int]] = {}
+        for task in tasks:
+            for machine in self.machines:
+                machine.send_disclosure(task, self.transport,
+                                        self.parameters.num_agents)
+        self.transport.step()
+        for machine in self.machines:
+            machine.collect_published("f_disclosure", self.transport,
+                                      row_boards)
+            machine.collect_claims(self.transport, claims_by_task)
+        # Claimants in pseudonym order, per task.
+        claimants: Dict[int, List[int]] = {}
+        complaints_by_agent: Dict[int, List[Tuple[int, int]]] = {}
+        for task in tasks:
+            rows = row_boards.get(task, {})
+            claimants[task] = sorted(
+                set(claims_by_task.get(task, [])),
+                key=lambda i: self.parameters.pseudonyms[i])
+            for machine in self.machines:
+                for accused in machine.act_validate_disclosures(task, rows):
+                    complaints_by_agent.setdefault(machine.index, []).append(
+                        (task, accused))
+            self.trace.record("disclosures_published", task=task,
+                              disclosers=sorted(rows),
+                              claimants=claimants[task])
+        self._run_batched_complaints(
+            "disclosure_complaint", "disclosures", row_boards,
+            complaints_by_agent,
+            lambda machine, task, rows, accused:
+                machine.act_arbitrate_disclosures(task, rows, accused))
+        return self._resolve_each(
+            tasks, lambda machine, task:
+                machine.act_find_winner(task, claimants[task]))
+
+    def _run_resolution(self, tasks: List[int]) -> Optional[ProtocolAbort]:
+        """Step III.4 plus second-price resolution inside one barrier."""
+        second_boards: Dict[int, Dict[int, object]] = {}
+        for task in tasks:
+            for machine in self.machines:
+                machine.send_second_price(task, self.transport)
+        self.transport.step()
+        for machine in self.machines:
+            machine.collect_published("second_price", self.transport,
+                                      second_boards)
+        complaints_by_agent: Dict[int, List[Tuple[int, int]]] = {}
+        for task in tasks:
+            board = second_boards.get(task, {})
+            for machine in self.machines:
+                for accused in machine.act_validate_excluded(task, board):
+                    complaints_by_agent.setdefault(machine.index, []).append(
+                        (task, accused))
+        self._run_batched_complaints(
+            "second_price_complaint", "second_price", second_boards,
+            complaints_by_agent,
+            lambda machine, task, board, accused:
+                machine.act_arbitrate_excluded(task, board, accused))
+        return self._resolve_each(
+            tasks, lambda machine, task: machine.act_resolve_second(task))
 
     def _run_payments(self, completed_tasks: Optional[List[int]] = None
                       ) -> Optional[ProtocolAbort]:
@@ -513,226 +547,6 @@ class DMWProtocol:
         self._decision = decision
         return None
 
-    # -- parallel (per-phase) drivers -------------------------------------------
-    def _run_parallel_auctions(self, tasks: Sequence[int]
-                               ) -> Optional[ProtocolAbort]:
-        """Run every task's auction with phase-level parallelism.
-
-        The paper's auctions are "parallel and independent": each protocol
-        phase executes for *all* tasks inside one synchronization barrier,
-        so the whole execution takes the per-auction round count (4 plus
-        payments) instead of ``4m + 1``.  Message and computation totals
-        are identical to the sequential schedule — only rounds (and hence
-        latency) shrink, which ``tests/test_parallel.py`` pins down.
-        """
-        obs = self.observer
-        for task in tasks:
-            self.trace.record("auction_start", task=task)
-        # The surviving-task set: degraded-mode quarantines remove tasks
-        # from it between (and within) phases, strict mode never mutates
-        # it (the first failure voids the run instead).
-        active = list(tasks)
-        # Phase II for every task, one barrier.
-        with obs.span("bidding"):
-            abort = self._run_parallel_bidding(active)
-        if abort is not None:
-            return abort
-        # Step III.2 for every task, one barrier.
-        with obs.span("aggregation"):
-            abort = self._run_parallel_aggregation(active)
-        if abort is not None:
-            return abort
-        # Step III.3 for every task, one barrier.
-        with obs.span("disclosure"):
-            abort = self._run_parallel_disclosure(active)
-        if abort is not None:
-            return abort
-        # Step III.4 for every task, one barrier.
-        with obs.span("resolution"):
-            abort = self._run_parallel_resolution(active)
-        if abort is not None:
-            return abort
-        reference = self._reference_agent()
-        for task in active:
-            state = reference.task_state(task)
-            self.trace.record("auction_resolved", task=task,
-                              first_price=state.first_price,
-                              winner=state.winner,
-                              second_price=state.second_price)
-            if obs.enabled:
-                obs.event("auction_resolved", task=task,
-                          first_price=state.first_price,
-                          winner=state.winner,
-                          second_price=state.second_price)
-            self._transcripts.append(AuctionTranscript(
-                task=task,
-                first_price=state.first_price,
-                winner=state.winner,
-                second_price=state.second_price,
-                valid_aggregate_publishers=tuple(sorted(
-                    state.valid_lambdas)),
-                valid_disclosers=tuple(sorted(state.valid_disclosures)),
-            ))
-        return None
-
-    def _run_parallel_bidding(self, tasks: Sequence[int]
-                              ) -> Optional[ProtocolAbort]:
-        """Phase II plus step III.1 for every task inside one barrier."""
-        for task in tasks:
-            for machine in self.machines:
-                machine.send_bidding(task, self.transport)
-        self.transport.step()
-        for machine in self.machines:
-            machine.recv_bidding(self.transport)
-        for task in list(tasks):
-            abort = self._run_share_verification(task)
-            if abort is not None:
-                abort = self._fail_task(task, abort, tasks)
-                if abort is not None:
-                    return abort
-        return None
-
-    def _run_batched_complaints(self, kind: str, stage: str,
-                                boards: Dict[int, Dict[int, object]],
-                                complaints_by_agent: Dict[
-                                    int, List[Tuple[int, int]]],
-                                arbitrate: Callable[
-                                    [AgentMachine, int, Dict[int, object],
-                                     List[int]], None]) -> None:
-        """One shared complaint barrier covering every task's accusations.
-
-        ``arbitrate(machine, task, board, accused)`` applies the verdict
-        per machine once the union is known.
-        """
-        for agent_index, complaints in complaints_by_agent.items():
-            self.transport.publish(agent_index, kind, complaints,
-                                   field_elements=len(complaints))
-        self.transport.step()
-        union: Dict[int, set] = {}
-        for machine in self.machines:
-            for message in machine.drain(kind, self.transport):
-                for task, accused in message.payload:
-                    union.setdefault(task, set()).add(accused)
-        for task, accused in union.items():
-            self.trace.record("complaints", task=task, stage=stage,
-                              accused=sorted(accused))
-            for machine in self.machines:
-                arbitrate(machine, task, boards.get(task, {}),
-                          sorted(accused))
-
-    def _run_parallel_aggregation(self, tasks: Sequence[int]
-                                  ) -> Optional[ProtocolAbort]:
-        """Step III.2 plus first-price resolution inside one barrier."""
-        boards: Dict[int, Dict[int, object]] = {}
-        for task in tasks:
-            for machine in self.machines:
-                machine.send_aggregates(task, self.transport)
-        self.transport.step()
-        for machine in self.machines:
-            machine.collect_published("lambda_psi", self.transport, boards)
-        complaints_by_agent: Dict[int, List[Tuple[int, int]]] = {}
-        for task in tasks:
-            board = boards.get(task, {})
-            for machine in self.machines:
-                for accused in machine.act_validate_aggregates(task, board):
-                    complaints_by_agent.setdefault(machine.index, []).append(
-                        (task, accused))
-        if complaints_by_agent:
-            self._run_batched_complaints(
-                "aggregate_complaint", "aggregates", boards,
-                complaints_by_agent,
-                lambda machine, task, board, accused:
-                    machine.act_arbitrate_aggregates(task, board, accused))
-        for task in list(tasks):
-            try:
-                for machine in self.machines:
-                    machine.act_resolve_first(task)
-            except ResolutionError as error:
-                abort = self._fail_task(
-                    task, ProtocolAbort(str(error), phase="allocating",
-                                        task=task), tasks)
-                if abort is not None:
-                    return abort
-        return None
-
-    def _run_parallel_disclosure(self, tasks: Sequence[int]
-                                 ) -> Optional[ProtocolAbort]:
-        """Step III.3 plus winner identification inside one barrier."""
-        row_boards: Dict[int, Dict[int, object]] = {}
-        claimants_by_task: Dict[int, List[int]] = {}
-        for task in tasks:
-            for machine in self.machines:
-                machine.send_disclosure(task, self.transport,
-                                        self.parameters.num_agents)
-        self.transport.step()
-        for machine in self.machines:
-            machine.collect_published("f_disclosure", self.transport,
-                                      row_boards)
-            machine.collect_claims(self.transport, claimants_by_task)
-        complaints_by_agent: Dict[int, List[Tuple[int, int]]] = {}
-        for task in tasks:
-            rows = row_boards.get(task, {})
-            for machine in self.machines:
-                for accused in machine.act_validate_disclosures(task, rows):
-                    complaints_by_agent.setdefault(machine.index, []).append(
-                        (task, accused))
-        if complaints_by_agent:
-            self._run_batched_complaints(
-                "disclosure_complaint", "disclosures", row_boards,
-                complaints_by_agent,
-                lambda machine, task, rows, accused:
-                    machine.act_arbitrate_disclosures(task, rows, accused))
-        for task in list(tasks):
-            claimants = sorted(
-                set(claimants_by_task.get(task, [])),
-                key=lambda i: self.parameters.pseudonyms[i])
-            try:
-                for machine in self.machines:
-                    machine.act_find_winner(task, claimants)
-            except ResolutionError as error:
-                abort = self._fail_task(
-                    task, ProtocolAbort(str(error), phase="allocating",
-                                        task=task), tasks)
-                if abort is not None:
-                    return abort
-        return None
-
-    def _run_parallel_resolution(self, tasks: Sequence[int]
-                                 ) -> Optional[ProtocolAbort]:
-        """Step III.4 plus second-price resolution inside one barrier."""
-        second_boards: Dict[int, Dict[int, object]] = {}
-        for task in tasks:
-            for machine in self.machines:
-                machine.send_second_price(task, self.transport)
-        self.transport.step()
-        for machine in self.machines:
-            machine.collect_published("second_price", self.transport,
-                                      second_boards)
-        complaints_by_agent: Dict[int, List[Tuple[int, int]]] = {}
-        for task in tasks:
-            board = second_boards.get(task, {})
-            for machine in self.machines:
-                for accused in machine.act_validate_excluded(task, board):
-                    complaints_by_agent.setdefault(machine.index, []).append(
-                        (task, accused))
-        if complaints_by_agent:
-            self._run_batched_complaints(
-                "second_price_complaint", "second_price", second_boards,
-                complaints_by_agent,
-                lambda machine, task, board, accused:
-                    machine.act_arbitrate_excluded(task, board, accused))
-        for task in list(tasks):
-            try:
-                for machine in self.machines:
-                    machine.act_resolve_second(task)
-            except ResolutionError as error:
-                abort = self._fail_task(
-                    task, ProtocolAbort(str(error), phase="allocating",
-                                        task=task), tasks)
-                if abort is not None:
-                    return abort
-        return None
-
     # -- public API -----------------------------------------------------------
     def execute(self, num_tasks: int, parallel: bool = False,
                 degraded: bool = False,
@@ -748,17 +562,20 @@ class DMWProtocol:
         num_tasks:
             Number of auctions ``m``.
         parallel:
-            When True, the auctions run concurrently instead of strictly
-            one after another.  Without ``workers`` (and without
-            checkpoint/resume) this selects the in-process phase-barrier
-            driver: all auctions advance phase-by-phase inside shared
-            barriers (the paper's "parallel and independent" reading),
-            5-7 rounds total instead of ``4m + 1``, identical messages
-            and outcomes.  With ``workers`` (or with
-            ``checkpoint_path``/``resume``, which imply the pool) the
-            process-pool engine in :mod:`repro.parallel` shards the
-            auctions across worker processes and merges them back
-            deterministically — outcomes, transcripts, payments, and
+            When False, the auctions run strictly one after another: the
+            phase driver (:meth:`_run_auctions`) steps one-task batches,
+            ``4m + 1`` rounds in all, with a quiescent boundary after
+            every auction.  When True without ``workers`` (and without
+            checkpoint/resume), the same driver runs one batch of all
+            tasks — the phase-barrier schedule: all auctions advance
+            phase-by-phase inside shared barriers (the paper's "parallel
+            and independent" reading), 5-7 rounds total instead of
+            ``4m + 1``, identical messages and outcomes.  With
+            ``workers`` (or with ``checkpoint_path``/``resume``, which
+            imply the pool) the process-pool engine in
+            :mod:`repro.parallel` shards the auctions across worker
+            processes and merges them back deterministically —
+            outcomes, transcripts, payments, and
             per-agent operation counts are bit-identical to the
             sequential driver (see ``docs/PERFORMANCE.md``).
         degraded:
@@ -894,7 +711,7 @@ class DMWProtocol:
                 if abort is not None:
                     return self._void(abort)
             elif parallel:
-                abort = self._run_parallel_auctions(range(num_tasks))
+                abort = self._run_auctions(range(num_tasks))
                 if abort is not None:
                     return self._void(abort)
             else:
@@ -903,9 +720,7 @@ class DMWProtocol:
                         continue
                     abort = self._run_auction(task)
                     if abort is not None:
-                        if not degraded:
-                            return self._void(abort)
-                        self._quarantine(task, abort)
+                        return self._void(abort)
                     if checkpoint_path is not None:
                         self._write_checkpoint(checkpoint_path, num_tasks,
                                                task + 1)

@@ -125,7 +125,6 @@ class PoolSpec:
     parameters: Any
     true_values: Tuple[Tuple[int, ...], ...]
     rng_roots: Tuple[int, ...]
-    degraded: bool
     observe: bool
     trace_enabled: bool
     #: Flight recording: when on, each shard captures its auction's
@@ -206,11 +205,13 @@ def _run_shard(task: int) -> ShardResult:
 
     Builds a fresh, self-contained execution context — agents seeded
     with the parent's substream roots, an obedient synchronous network,
-    a per-task public-value cache — and runs the same
-    ``DMWProtocol._run_auction`` code path the sequential driver uses,
-    so the shard's counters, messages, rounds, spans, and trace are
-    exactly what the sequential driver would have recorded for this
-    task.
+    a per-task public-value cache — and runs
+    ``DMWProtocol._run_auction``, the one-task batch of the phase driver
+    that the sequential schedule steps, so the shard's counters,
+    messages, rounds, spans, and trace are exactly what the sequential
+    driver would have recorded for this task.  The shard runs strict:
+    its abort travels back in the :class:`ShardResult`, and the parent
+    decides whether it voids the run or quarantines the task.
     """
     spec = _SPEC
     if spec is None:  # pragma: no cover - initializer contract
@@ -240,7 +241,6 @@ def _run_shard(task: int) -> ShardResult:
     for agent in agents:
         agent.adopt_cache(cache)
     protocol._shared_cache = cache
-    protocol._degraded = spec.degraded
     if recorder is not None:
         recorder.bind(protocol._summed_operations,
                       protocol.network.metrics.as_dict)
@@ -468,7 +468,6 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
         true_values=tuple(tuple(agent.true_values)
                           for agent in protocol.agents),
         rng_roots=tuple(agent.rng_root for agent in protocol.agents),
-        degraded=protocol._degraded,
         observe=protocol.observer.enabled,
         trace_enabled=not isinstance(protocol.trace, NullTrace),
         flight=protocol.flight.enabled,

@@ -164,7 +164,7 @@ class TestScalarOperations:
 
 def _minimal_spec(backend_name):
     return PoolSpec(parameters=None, true_values=(), rng_roots=(),
-                    degraded=False, observe=False, trace_enabled=False,
+                    observe=False, trace_enabled=False,
                     backend=backend_name)
 
 

@@ -17,10 +17,12 @@ from repro.core import (
     DMWProtocol,
     audit_protocol_run,
 )
+from repro.core.deviant import standard_deviations
 from repro.network.faults import FaultPlan
 from repro.network.simulator import SynchronousNetwork
 from repro.obs.export import resilience_summary, run_report, validate_run_report
 from repro.obs.metrics import registry_for_run
+from repro.obs.spans import SpanRecorder
 from repro.scheduling.problem import SchedulingProblem
 
 
@@ -150,6 +152,33 @@ class TestQuarantine:
         assert report.ok
         assert all(finding.check != "quarantine"
                    for finding in report.findings)
+
+
+class TestNoEmptyBarrierRounds:
+    """Once degraded mode has quarantined every task, the driver goes
+    straight to payments: no empty barrier round, no empty phase span."""
+
+    @pytest.mark.parametrize("deviation,parallel,rounds,phases", [
+        ("withhold_shares", True, 2, ["bidding"]),
+        ("wrong_aggregates", True, 4, ["bidding", "aggregation"]),
+        ("withhold_shares", False, 4, ["bidding"] * 3),
+        ("wrong_aggregates", False, 10, ["bidding", "aggregation"] * 3),
+    ])
+    def test_all_quarantined_steps_no_empty_rounds(
+            self, params5, problem, deviation, parallel, rounds, phases):
+        agents = make_agents(params5, problem)
+        agents[4] = standard_deviations()[deviation](
+            4, params5, agents[4].true_values, random.Random(4))
+        observer = SpanRecorder()
+        protocol = DMWProtocol(params5, agents, observer=observer)
+        outcome = protocol.execute(problem.num_tasks, parallel=parallel,
+                                   degraded=True)
+        assert outcome.completed
+        assert outcome.quarantined_tasks == (0, 1, 2)
+        assert protocol.network.round_index == rounds
+        assert [span.name for span in observer.spans
+                if span.kind == "phase" and span.name != "payments"] \
+            == phases
 
 
 class TestPartialSchedule:
